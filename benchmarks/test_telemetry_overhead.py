@@ -4,7 +4,7 @@ Two promises from docs/telemetry.md are enforced here:
 
 * the *disabled* layer (the ``NULL_TELEMETRY`` fast path every hot call
   site guards on) costs under 5 % of a streaming run — checked with the
-  same bound ``tools/check_telemetry_overhead.py`` computes;
+  telemetry row of ``tools/check_overhead.py``;
 * the *enabled* layer captures all three record kinds (lifecycle events,
   metrics, per-path timeline samples) for a standard run, snapshotted to
   ``benchmarks/results/`` as JSONL.
@@ -19,23 +19,26 @@ from repro.experiments.runner import run_stream
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
-from check_telemetry_overhead import (  # noqa: E402
+from check_overhead import (  # noqa: E402
+    LAYERS,
+    THRESHOLD_PCT,
+    armed_run,
     best_wall_time,
-    count_activations,
     measure_guard_ns,
 )
 
 
 def test_disabled_overhead_bound(once):
     duration = bench_duration(4.0)
+    layer = next(row for row in LAYERS if row.name == "telemetry")
 
     def run():
-        guard_ns = measure_guard_ns()
-        activations = count_activations(duration, seed=1)
-        off = best_wall_time(False, duration, seed=1, runs=2)
-        on = best_wall_time(True, duration, seed=1, runs=2)
+        guard_ns = measure_guard_ns(layer.guard, layer.setup)
+        off, base = best_wall_time(run_stream, duration, seed=1, runs=2)
+        armed = armed_run(run_stream, layer.armed(1, duration), duration, seed=1)
+        activations = layer.count(armed, base)
         bound_pct = activations * guard_ns * 1e-9 / off * 100.0
-        return guard_ns, activations, off, on, bound_pct
+        return guard_ns, activations, off, armed.wall, bound_pct
 
     guard_ns, activations, off, on, bound_pct = once(run)
     write_result(
@@ -46,8 +49,9 @@ def test_disabled_overhead_bound(once):
         % (duration, guard_ns, activations, bound_pct,
            off, on, (on - off) / off * 100.0),
     )
-    assert bound_pct < 5.0, (
-        "disabled telemetry overhead bound %.2f%% exceeds 5%%" % bound_pct
+    assert bound_pct < THRESHOLD_PCT, (
+        "disabled telemetry overhead bound %.2f%% exceeds %.1f%%"
+        % (bound_pct, THRESHOLD_PCT)
     )
 
 

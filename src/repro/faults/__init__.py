@@ -3,8 +3,8 @@
 ``plan`` declares *what* goes wrong and when (typed events, JSON-loadable,
 seeded random plans); ``engine`` compiles a plan onto the event loop and
 maintains the per-link fault overlays and NAT flushes; ``soak`` runs a
-whole tunnel under a seeded random plan and asserts the robustness
-guarantees.  See docs/robustness.md for the taxonomy, the JSON schema,
+whole tunnel under a seeded random plan and reports what the scenario
+oracles judge.  See docs/robustness.md for the taxonomy, the JSON schema,
 and the path-health state machine the faults exercise.
 """
 
@@ -17,7 +17,7 @@ from .plan import (
     FaultPlanError,
     random_plan,
 )
-from .soak import SoakError, SoakReport, run_chaos_soak
+from .soak import SoakReport, run_chaos_soak
 
 __all__ = [
     "FAULT_KINDS",
@@ -26,7 +26,6 @@ __all__ = [
     "FaultPlanBuilder",
     "FaultPlanError",
     "FaultInjector",
-    "SoakError",
     "SoakReport",
     "random_plan",
     "run_chaos_soak",

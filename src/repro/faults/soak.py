@@ -12,8 +12,8 @@ injector, streams video through the adversity, and returns a
 * **determinism**: :attr:`SoakReport.digest` hashes the run's observable
   outcome — the same ``seed`` must reproduce it byte for byte.
 
-``tools/chaos_soak.py`` runs this from the command line and CI stage 5
-runs one short seeded soak as a smoke test.
+The scenario zoo and chaos campaigns (:mod:`repro.scenarios`) run it
+and judge each report with the six named invariant oracles.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ from typing import List, Optional
 from .plan import FaultPlan, random_plan
 
 __all__ = [
-    "SoakError",
     "SoakReport",
     "run_chaos_soak",
 ]
-
-
-class SoakError(AssertionError):
-    """A chaos-soak guarantee (delivery / bounded state) was violated."""
 
 
 @dataclass
@@ -73,21 +68,6 @@ class SoakReport:
     plan: Optional[FaultPlan] = None
     #: The run's :class:`~repro.obs.Telemetry` when requested, else None.
     telemetry: Optional[object] = None
-
-    def assert_healthy(self, min_delivery: float = 0.2) -> None:
-        """Raise :class:`SoakError` unless the soak guarantees held."""
-        if self.terminal_error is not None:
-            raise SoakError("tunnel hit terminal error: %s" % self.terminal_error)
-        if self.packets_sent == 0:
-            raise SoakError("source emitted nothing — harness misconfigured")
-        if self.delivery_ratio < min_delivery:
-            raise SoakError(
-                "delivery ratio %.3f under the %.3f floor despite a spared path"
-                % (self.delivery_ratio, min_delivery))
-        if not self.overlay_drained:
-            raise SoakError("fault overlay still active after the horizon")
-        if self.faults_lifted > self.faults_applied:
-            raise SoakError("lifted more fault windows than were applied")
 
 
 def _digest(payload: dict) -> str:

@@ -21,7 +21,7 @@ Two kinds of numbers come out:
 Attach with ``loop.profiler = SimProfiler()`` (the runner does this for
 ``profile=True`` runs).  A detached loop (``profiler is None``) pays one
 local-variable ``is None`` test per event — the disabled-overhead gate
-in ``tools/check_telemetry_overhead.py`` bounds that branch.
+in ``tools/check_overhead.py`` bounds that branch.
 """
 
 from __future__ import annotations

@@ -92,8 +92,8 @@ class NullSanitizer:
     Shared as :data:`NULL_SANITIZER`.  Call sites guard with
     ``if san.enabled:`` before building check arguments, so the disabled
     hot path never allocates — the same contract the telemetry layer's
-    ``NULL_TELEMETRY`` makes, enforced by the same overhead gate style
-    (``tools/check_sanitizer_overhead.py``).
+    ``NULL_TELEMETRY`` makes, enforced by the same disabled-overhead gate
+    (``tools/check_overhead.py``).
     """
 
     enabled = False

@@ -1,8 +1,7 @@
 """Invariant oracles: named, machine-checkable robustness predicates.
 
-:func:`repro.faults.soak.SoakReport.assert_healthy` bundles a handful of
-guarantees into one opaque assertion.  This module unbundles them into a
-registry of **named oracles** — small pure predicates over a
+A chaos soak's robustness guarantees are judged by a registry of
+**named oracles** — small pure predicates over a
 :class:`~repro.faults.soak.SoakReport`, the :class:`~repro.faults.plan.
 FaultPlan` that produced it, and a per-scenario :class:`Expectations`
 record — so every scenario-zoo entry, chaos campaign, and differential

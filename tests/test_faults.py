@@ -41,6 +41,7 @@ from repro.obs import Telemetry
 from repro.obs import trace as ev
 from repro.quic.cc.base import CongestionController
 from repro.sanitizer import ProtocolSanitizer, SanitizerViolation
+from repro.scenarios.oracles import assert_oracles
 
 
 def make_trace(name, rate, duration, loss=None, base_delay=0.01):
@@ -690,11 +691,11 @@ class TestWatchdogAndSoak:
         r2 = run_chaos_soak(5, duration=5.0)
         assert isinstance(r1, SoakReport)
         assert r1.digest == r2.digest, "same seed must be byte-identical"
-        r1.assert_healthy()
+        assert_oracles(r1, r1.plan)
         r3 = run_chaos_soak(6, duration=5.0)
         assert r3.digest != r1.digest, "different seed should differ"
 
     def test_chaos_soak_under_sanitizer(self):
         report = run_chaos_soak(2, duration=4.0, sanitize=True)
-        report.assert_healthy()
+        assert_oracles(report, report.plan)
         assert report.faults_applied >= report.faults_lifted

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cloud.pop import default_pop_grid
 from repro.fleet import (
     FleetConfig,
     FleetReport,
@@ -82,10 +83,14 @@ class TestPlanFleet:
         assert len({s.device_id for s in plan.vehicles}) == 30
 
     def test_placement_is_real(self):
-        plan = plan_fleet(lite(vehicles=30))
+        config = lite(vehicles=30)
+        plan = plan_fleet(config)
+        grid = {p.pop_id for p in default_pop_grid(config.pops_per_region,
+                                                   config.regions)}
         placed = [s for s in plan.vehicles if s.pop_id is not None]
         assert placed, "controller placed nobody"
         for s in placed:
+            assert s.pop_id in grid, "placed on a PoP outside the grid"
             assert s.access_delay > 0
 
     def test_snat_pressure_exists(self):

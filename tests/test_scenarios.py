@@ -405,3 +405,43 @@ class TestChaosCli:
                                         Expectations().as_dict()})
         assert main(["chaos", "run", "--plan", str(art)]) == 0
         assert "replayed" in capsys.readouterr().out
+
+    def test_chaos_run_replays_artifact_at_its_recorded_seed(self, tmp_path,
+                                                             capsys):
+        from repro.cli import main
+        from repro.scenarios.campaign import write_artifact
+
+        plan = FaultPlanBuilder().blackout(0.5, 0.4, path_id=0).build()
+        art = tmp_path / "plan.json"
+        write_artifact(str(art), plan, {"seed": 7, "duration": 1.5,
+                                        "transport": "cellfusion",
+                                        "expectations":
+                                        Expectations().as_dict()})
+        report, _ = replay_artifact(str(art))
+        assert report.seed == 7
+        assert main(["chaos", "run", "--plan", str(art), "--sanitize"]) == 0
+        assert "digest %s" % report.digest[:16] in capsys.readouterr().out
+
+    def test_chaos_zoo_counts_a_failed_drifting_scenario_once(self, monkeypatch,
+                                                              capsys):
+        import repro.scenarios as scenarios
+        from repro.cli import main
+        from repro.scenarios import OracleVerdict, ScenarioResult
+
+        seeds = []
+
+        def failing_and_drifting(name, seed, **_kw):
+            seeds.append(seed)
+            report = synthetic_report(digest="%064d" % len(seeds))
+            return ScenarioResult(name, seed, "cellfusion", 1.0, report,
+                                  [OracleVerdict("delivery_floor", False,
+                                                 "planted")])
+
+        monkeypatch.setattr(scenarios, "run_scenario", failing_and_drifting)
+        rc = main(["chaos", "zoo", "--scenario", "a", "--scenario", "b",
+                   "--rerun", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.count("DIGEST DRIFT") == 2
+        assert "0/2 scenarios passed" in out
+        assert seeds == [0, 0, 0, 0], "--seed 0 must not become 1"

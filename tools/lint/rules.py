@@ -197,7 +197,7 @@ class FloatTimeEqRule(Rule):
 class TelemetryGuardRule(Rule):
     """Telemetry hot-path calls must sit behind the null-singleton guard.
 
-    The disabled-overhead budget (tools/check_telemetry_overhead.py)
+    The disabled-overhead budget (tools/check_overhead.py)
     assumes every ``tel.event/count/observe/set_gauge`` call site is
     guarded by ``if tel.enabled:`` (or an enclosing ``is not None`` check
     on an optional handle), so the disabled cost is one branch — an
